@@ -9,7 +9,6 @@ from .words import (
     is_prefix,
     is_sdp,
     kraft_sum,
-    point_in_interval,
     word_to_interval,
 )
 from .forests import (
@@ -34,7 +33,6 @@ from .pythagorean import (
     PythagoreanPair,
     diffuse_certificate,
     leaf_decorations,
-    operator_norm,
     pair_from_json,
     pair_to_json,
     phi,

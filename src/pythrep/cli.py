@@ -222,10 +222,7 @@ def main(argv=None) -> int:
     except ElementSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ContractError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import product
 
-from .words import check_word, sibling
+from .words import _is_complete, _merge_siblings, check_word, sibling
 
 __all__ = [
     "Tree",
@@ -29,24 +29,6 @@ __all__ = [
 ]
 
 
-def _merge_to_root(leaves) -> bool:
-    """Whether the sorted word list is a complete prefix code."""
-    stack: list[str] = []
-    for w in leaves:
-        stack.append(w)
-        while (
-            len(stack) >= 2
-            and len(stack[-1]) == len(stack[-2])
-            and stack[-1][:-1] == stack[-2][:-1]
-            and stack[-2][-1] == "0"
-            and stack[-1][-1] == "1"
-        ):
-            p = stack.pop()[:-1]
-            stack.pop()
-            stack.append(p)
-    return stack == [""]
-
-
 class Tree:
     """A full binary tree, stored as its sorted tuple of leaf addresses."""
 
@@ -54,7 +36,7 @@ class Tree:
 
     def __init__(self, leaves):
         ws = tuple(sorted(check_word(w) for w in leaves))
-        if not _merge_to_root(ws):
+        if not _is_complete(ws):
             raise ValueError(f"leaf set is not a complete prefix code: {ws}")
         object.__setattr__(self, "leaves", ws)
 
@@ -182,21 +164,8 @@ class Tree:
         return tree
 
     def to_text(self) -> str:
-        stack: list[tuple[str, str]] = []
-        for w in self.leaves:
-            stack.append((w, "*"))
-            while (
-                len(stack) >= 2
-                and len(stack[-1][0]) == len(stack[-2][0])
-                and stack[-1][0][:-1] == stack[-2][0][:-1]
-                and stack[-2][0][-1] == "0"
-                and stack[-1][0][-1] == "1"
-            ):
-                (p0, a), (p1, b) = stack[-2], stack[-1]
-                stack.pop()
-                stack.pop()
-                stack.append((p0[:-1], f"({a}{b})"))
-        return stack[0][1]
+        _, texts = _merge_siblings(self.leaves, ["*"] * self.n_leaves, lambda a, b: f"({a}{b})")
+        return texts[0]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Tree) and self.leaves == other.leaves
@@ -279,10 +248,6 @@ class Forest:
     @property
     def n_leaves(self) -> int:
         return sum(t.n_leaves for t in self.trees)
-
-    def leaf_addresses(self) -> list[tuple[int, str]]:
-        """All leaves as (root index, address) pairs, in display order."""
-        return [(j, w) for j, t in enumerate(self.trees) for w in t.leaves]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Forest) and self.trees == other.trees

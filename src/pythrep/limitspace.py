@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .forests import Forest, Tree, common_refinement
-from .pythagorean import PythagoreanPair, leaf_decorations, word_operator
-from .words import IntervalUnion, check_word, sibling
+from .pythagorean import PythagoreanPair, phi, word_operator
+from .words import IntervalUnion, _merge_siblings, check_word, sibling
 
 __all__ = [
     "LimitVector",
@@ -68,16 +68,7 @@ class LimitVector:
     def grow(self, forest: Forest) -> "LimitVector":
         """Graft one tree of the forest under each leaf, pushing values
         down with the word operators."""
-        if forest.n_roots != self.tree.n_leaves:
-            raise ValueError(
-                f"forest has {forest.n_roots} roots, vector has {self.tree.n_leaves} leaves"
-            )
-        rows = np.vstack(
-            [
-                leaf_decorations(self.pair, t, x)
-                for t, x in zip(forest.trees, self.values)
-            ]
-        )
+        rows = phi(self.pair, forest, self.values)
         return LimitVector(self.pair, self.tree.composed(forest), rows)
 
     def refine_to(self, tree: Tree) -> "LimitVector":
@@ -137,31 +128,14 @@ class LimitVector:
         """
         a, b = self.pair.a, self.pair.b
         a_h, b_h = a.conj().T, b.conj().T
-        addrs: list[str] = []
-        vals: list[np.ndarray] = []
-        for addr, val in zip(self.tree.leaves, self.values):
-            addrs.append(addr)
-            vals.append(val)
-            while (
-                len(addrs) >= 2
-                and len(addrs[-1]) == len(addrs[-2])
-                and addrs[-1][:-1] == addrs[-2][:-1]
-                and addrs[-2][-1] == "0"
-                and addrs[-1][-1] == "1"
-            ):
-                eta0, eta1 = vals[-2], vals[-1]
-                xi = a_h @ eta0 + b_h @ eta1
-                residual = np.linalg.norm(eta0 - a @ xi) ** 2
-                residual += np.linalg.norm(eta1 - b @ xi) ** 2
-                if residual > tol * tol:
-                    break
-                parent = addrs[-2][:-1]
-                addrs.pop()
-                addrs.pop()
-                vals.pop()
-                vals.pop()
-                addrs.append(parent)
-                vals.append(xi)
+
+        def parent(eta0, eta1):
+            xi = a_h @ eta0 + b_h @ eta1
+            residual = np.linalg.norm(eta0 - a @ xi) ** 2
+            residual += np.linalg.norm(eta1 - b @ xi) ** 2
+            return xi if residual <= tol * tol else None
+
+        addrs, vals = _merge_siblings(self.tree.leaves, self.values, parent)
         return LimitVector(self.pair, Tree(addrs), np.array(vals))
 
     def __repr__(self) -> str:

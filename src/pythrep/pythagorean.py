@@ -30,7 +30,6 @@ __all__ = [
     "word_operator",
     "leaf_decorations",
     "phi",
-    "operator_norm",
     "spectral_radius",
     "DiffuseVerdict",
     "diffuse_certificate",
@@ -77,7 +76,7 @@ class PythagoreanPair:
 def scalar_pair(a: complex, b: complex, tol: float = 1e-12) -> PythagoreanPair:
     """The 1-dimensional pair; (a, b) must sit on the unit 3-sphere."""
     defect = abs(abs(a) ** 2 + abs(b) ** 2 - 1.0)
-    if defect > tol:
+    if not defect <= tol:
         raise ValueError(f"|a|^2 + |b|^2 differs from 1 by {defect:.3g}")
     return PythagoreanPair([[a]], [[b]], tol)
 
@@ -155,32 +154,22 @@ def phi(pair: PythagoreanPair, forest: Forest, xs) -> np.ndarray:
     )
 
 
-def operator_norm(m: np.ndarray, tol: float = 1e-12, max_iter: int = 1000) -> float:
-    """Largest singular value by power iteration on the Gram matrix."""
-    m = np.asarray(m, dtype=np.complex128)
-    d = m.shape[0]
-    if d == 1:
-        return abs(complex(m[0, 0]))
-    gram = m.conj().T @ m
-    v = np.arange(1, d + 1, dtype=np.complex128)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        new = float(np.real(np.vdot(v, gram @ v)))
-        if abs(new - lam) <= tol * max(new, 1.0):
-            lam = new
-            break
-        lam = new
-    return float(np.sqrt(max(lam, 0.0)))
-
-
 def spectral_radius(m: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(m, dtype=np.complex128)))))
+
+
+def _pruned(op: np.ndarray, eps: float) -> bool:
+    """Whether the 2-norm of the d x d operator is at most eps.
+
+    The Frobenius norm bounds it on both sides, ||op|| <= fro <= sqrt(d) ||op||,
+    so the singular value decomposition runs only in the band between them.
+    """
+    fro = float(np.linalg.norm(op, "fro"))
+    if fro <= eps:
+        return True
+    if fro > eps * len(op) ** 0.5:
+        return False
+    return float(np.linalg.norm(op, 2)) <= eps
 
 
 @dataclass(frozen=True)
@@ -237,7 +226,6 @@ def diffuse_certificate(
     diagonal pairs without changing the verdict.
     """
     tol = pair.tol
-    sqrt_d = float(np.sqrt(pair.dim))
 
     for length in range(1, witness_len + 1):
         words = [""]
@@ -246,14 +234,6 @@ def diffuse_certificate(
         for w in sorted(words):
             if spectral_radius(word_operator(pair, w)) >= 1.0 - tol:
                 return DiffuseVerdict(status="not_diffuse", witness=w)
-
-    def pruned(op: np.ndarray) -> bool:
-        fro = float(np.linalg.norm(op, "fro"))
-        if fro <= eps:
-            return True
-        if fro > eps * sqrt_d:
-            return False
-        return operator_norm(op) <= eps
 
     def key(op: np.ndarray) -> bytes:
         return np.round(op, 13).tobytes()
@@ -270,7 +250,7 @@ def diffuse_certificate(
             return True
         if depth >= max_depth or len(heights) + len(stack) > max_nodes:
             return False
-        if pruned(op):
+        if _pruned(op, eps):
             heights[k] = 0
             return True
         stack.append((op, k, depth, []))

@@ -13,8 +13,8 @@ common tree and reads off the outer pair.
 
 from __future__ import annotations
 
-from .forests import Forest, Tree, common_refinement, random_tree
-from .words import CantorPoint, IntervalUnion, check_word
+from .forests import Tree, _parse_tree, common_refinement, random_tree
+from .words import CantorPoint, IntervalUnion, _merge_siblings, check_word
 
 __all__ = [
     "ThompsonElement",
@@ -27,24 +27,10 @@ __all__ = [
 ]
 
 
-def _reduce(range_leaves: list[str], domain_leaves: list[str]) -> None:
-    """Cancel carets present at the same positions of both trees, in place."""
-
-    def sib(a: str, b: str) -> bool:
-        return len(a) == len(b) and a[:-1] == b[:-1] and a[-1] == "0" and b[-1] == "1"
-
-    i = 0
-    while i + 1 < len(range_leaves):
-        if sib(range_leaves[i], range_leaves[i + 1]) and sib(
-            domain_leaves[i], domain_leaves[i + 1]
-        ):
-            range_leaves[i] = range_leaves[i][:-1]
-            domain_leaves[i] = domain_leaves[i][:-1]
-            del range_leaves[i + 1]
-            del domain_leaves[i + 1]
-            i = max(i - 1, 0)
-        else:
-            i += 1
+def _domain_parent(d0: str, d1: str) -> str | None:
+    """The parent of two domain leaves when they are siblings, else None."""
+    p = d0[:-1]
+    return p if d0[-1:] == "0" and d1 == p + "1" else None
 
 
 class ThompsonElement:
@@ -61,14 +47,10 @@ class ThompsonElement:
             raise ValueError(
                 f"leaf counts differ: {range_tree.n_leaves} vs {domain_tree.n_leaves}"
             )
-        rl, dl = list(range_tree.leaves), list(domain_tree.leaves)
-        _reduce(rl, dl)
+        # a caret cancels when its leaves sit at the same positions of both trees
+        rl, dl = _merge_siblings(range_tree.leaves, domain_tree.leaves, _domain_parent)
         object.__setattr__(self, "range_tree", Tree(rl))
         object.__setattr__(self, "domain_tree", Tree(dl))
-
-    @classmethod
-    def from_pair(cls, range_tree: Tree, domain_tree: Tree) -> "ThompsonElement":
-        return cls(range_tree, domain_tree)
 
     @classmethod
     def identity(cls) -> "ThompsonElement":
@@ -110,8 +92,6 @@ class ThompsonElement:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    power = __pow__
 
     def __eq__(self, other) -> bool:
         return (
@@ -258,26 +238,8 @@ def parse_element(text: str) -> "ThompsonElement":
         return int(text[start:p]), p
 
     def parse_tree_at(p: int) -> tuple[Tree, int]:
-        depth = 0
-        q = p
-        while q < n:
-            c = text[q]
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-                if depth < 0:
-                    raise ElementSyntaxError(q, "unbalanced ')' in tree")
-            elif c == "*" and depth == 0:
-                q += 1
-                break
-            elif c in ",]" and depth == 0:
-                break
-            q += 1
-            if c == ")" and depth == 0:
-                break
         try:
-            return Tree.from_text(text[p:q]), q
+            return _parse_tree(text, p)
         except ValueError as exc:
             raise ElementSyntaxError(p, f"bad tree: {exc}") from None
 

@@ -28,7 +28,6 @@ __all__ = [
     "parse_word",
     "IntervalUnion",
     "CantorPoint",
-    "point_in_interval",
 ]
 
 
@@ -71,11 +70,41 @@ def kraft_sum(words) -> Fraction:
 
 def is_sdp(words) -> bool:
     """Whether the words form a standard dyadic partition of the whole space."""
-    ws = sorted(check_word(w) for w in words)
-    for prev, cur in zip(ws, ws[1:]):
-        if cur.startswith(prev):  # sorted order puts a word right before its extensions
-            return False
-    return kraft_sum(ws) == 1
+    return _is_complete(sorted(check_word(w) for w in words))
+
+
+def _is_complete(ws) -> bool:
+    """Whether sorted binary words are the leaves of one full binary tree,
+    i.e. their sibling pairs collapse all the way to the root."""
+    return _merge_siblings(ws, ws, lambda a, b: a)[0] == [""]
+
+
+def _merge_siblings(words, values, merge) -> tuple[list[str], list]:
+    """Collapse sibling pairs bottom-up, carrying one value per word.
+
+    Walks the sorted ``words`` left to right with a stack.  When the next
+    word ``w1`` is the sibling of the word ``w0`` on top, both are replaced
+    by their parent ``w`` with value ``merge(x0, x1)``, unless that is
+    None; a new parent is tested against the new top in turn.  Returns the
+    surviving words and their values.
+    """
+    ws: list[str] = []
+    xs: list = []
+    for w, x in zip(words, values):
+        # the last character rejects half the words before any slicing
+        while ws and w[-1:] == "1":
+            parent = w[:-1]
+            if ws[-1] != parent + "0":
+                break
+            m = merge(xs[-1], x)
+            if m is None:
+                break
+            ws.pop()
+            xs.pop()
+            w, x = parent, m
+        ws.append(w)
+        xs.append(x)
+    return ws, xs
 
 
 def format_word(w: str) -> str:
@@ -87,10 +116,6 @@ def parse_word(text: str) -> str:
     if text == "^":
         return ""
     return check_word(text)
-
-
-def _siblings(x: str, y: str) -> bool:
-    return len(x) == len(y) and x[:-1] == y[:-1] and x[-1] == "0" and y[-1] == "1"
 
 
 class IntervalUnion:
@@ -111,15 +136,8 @@ class IntervalUnion:
             if kept and w.startswith(kept[-1]):
                 continue
             kept.append(w)
-        stack: list[str] = []
-        for w in kept:
-            stack.append(w)
-            while len(stack) >= 2 and _siblings(stack[-2], stack[-1]):
-                p = stack[-2][:-1]
-                stack.pop()
-                stack.pop()
-                stack.append(p)
-        object.__setattr__(self, "words", tuple(stack))
+        merged, _ = _merge_siblings(kept, kept, lambda a, b: a)
+        object.__setattr__(self, "words", tuple(merged))
 
     @classmethod
     def of(cls, *words) -> "IntervalUnion":
@@ -272,7 +290,3 @@ class CantorPoint:
 
     def __setattr__(self, *a):
         raise AttributeError("CantorPoint is immutable")
-
-
-def point_in_interval(p: CantorPoint, w: str) -> bool:
-    return p.starts_with(w)

@@ -50,6 +50,13 @@ def test_malformed_pair_is_exit_1(capsys, pair_file):
     assert err.startswith("error:")
 
 
+def test_nan_pair_is_exit_1(capsys, pair_file):
+    nan_pair = {"a": [float("nan"), 0.0], "b": [0.0, 0.0]}
+    rc, out, err = run(capsys, "coeff", "--pair", pair_file(nan_pair), "--element", "x0")
+    assert rc == 1
+    assert out == "" and err.startswith("error:")
+
+
 def test_missing_pair_file_is_exit_1(capsys, tmp_path):
     rc, _, err = run(capsys, "diffuse", "--pair", str(tmp_path / "nope.json"))
     assert rc == 1

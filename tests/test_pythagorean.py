@@ -7,8 +7,8 @@ from pythrep.forests import Forest, Tree, random_tree, tensor
 from pythrep.pythagorean import (
     PythagoreanPair,
     diffuse_certificate,
+    _pruned,
     leaf_decorations,
-    operator_norm,
     pair_from_json,
     pair_to_json,
     phi,
@@ -138,11 +138,15 @@ def test_phi_on_trivial_forest_is_identity():
 # ------------------------------------------------------------ matrix norms
 
 
-def test_operator_norm_matches_svd():
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert abs(operator_norm(m) - np.linalg.svd(m, compute_uv=False)[0]) <= 1e-9
+def test_pruning_uses_the_exact_2_norm():
+    # the Frobenius norm 1.204e-3 lies between eps and eps * sqrt(2), so the
+    # 2-norm 1.2e-3 decides; an estimate that starts from the eigenvector v
+    # of 1e-4 would underestimate it
+    u = np.array([2.0, -1.0]) / np.sqrt(5)
+    v = np.array([1.0, 2.0]) / np.sqrt(5)
+    m = 1.2e-3 * np.outer(u, u) + 1e-4 * np.outer(v, v)
+    assert not _pruned(m.astype(complex), 1e-3)
+    assert _pruned(m.astype(complex), 1.202e-3)  # also inside the band
 
 
 def test_spectral_radius_matches_eigvals():
@@ -181,7 +185,7 @@ def test_certified_verdict_is_sound():
     rng = np.random.default_rng(12)
     for _ in range(100):
         w = "".join(rng.choice(("0", "1"), v.depth + 5))
-        assert operator_norm(word_operator(pair, w)) <= v.eps
+        assert np.linalg.norm(word_operator(pair, w), 2) <= v.eps
 
 
 def test_budget_exhaustion_reports_unknown():

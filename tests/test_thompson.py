@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pythrep.forests import Tree
+from pythrep.forests import Forest, Tree, random_tree
 from pythrep.thompson import (
     ElementSyntaxError,
     ThompsonElement,
@@ -36,6 +36,16 @@ def test_construction_reduces_common_carets():
     assert ThompsonElement(t, s).n_leaves == 3
 
 
+def test_construction_cancels_cascaded_carets():
+    # grafting the same tree under corresponding leaves of both trees adds
+    # carets that cancel only level by level, from the new leaves upward
+    rng = np.random.default_rng(14)
+    for g in _elements(13, 20):
+        f = Forest(random_tree(rng, max_depth=3) for _ in range(g.n_leaves))
+        t, s = g.range_tree.composed(f), g.domain_tree.composed(f)
+        assert ThompsonElement(t, s) == g
+
+
 def test_already_reduced_pairs_stay_put():
     assert X0.range_tree == Tree.vine_right(1)
     assert X0.domain_tree == Tree.vine_left(1)
@@ -65,7 +75,7 @@ def test_associativity():
 
 def test_vine_powers_frozen():
     assert vine_element(1) * vine_element(1) == vine_element(2)
-    assert vine_element(2).power(3) == vine_element(6)
+    assert vine_element(2) ** 3 == vine_element(6)
     assert X0 ** -3 == vine_element(3)
 
 

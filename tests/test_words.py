@@ -16,7 +16,6 @@ from pythrep.words import (
     is_sdp,
     kraft_sum,
     parse_word,
-    point_in_interval,
     sibling,
     word_to_interval,
 )
@@ -187,5 +186,5 @@ def test_point_shift_prepend_roundtrip(p, k):
 @given(points_st)
 def test_point_in_its_own_prefix_interval(p):
     w = p.bits(4)
-    assert point_in_interval(p, w)
-    assert not point_in_interval(p, sibling(w))
+    assert p.starts_with(w)
+    assert not p.starts_with(sibling(w))
