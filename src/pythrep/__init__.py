@@ -3,6 +3,7 @@ unitary representations on a limit Hilbert space."""
 
 from .words import (
     CantorPoint,
+    InputSyntaxError,
     IntervalUnion,
     concat,
     disjoint,

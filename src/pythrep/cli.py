@@ -1,9 +1,11 @@
 """Command-line front end.
 
 One subcommand per capability; exit status 0 on success, 1 when a
-mathematical contract fails (invalid pair, unstabilized vertex, ...),
-2 on usage or syntax errors.  Human-readable numbers are printed to six
-significant digits; CSV output keeps full precision and is byte-stable.
+mathematical contract fails (invalid or non-finite pair or vector,
+unstabilized vertex, ...), 2 on usage errors and on syntax errors in any
+input flag (element, point, vector, n-list).  Human-readable numbers are
+printed to six significant digits; CSV output keeps full precision and is
+byte-stable.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .rep import (
     koopman_coefficient,
     mixing_scan,
 )
-from .thompson import ElementSyntaxError, parse_element
-from .words import CantorPoint, format_word, word_to_interval
+from .thompson import parse_element
+from .words import CantorPoint, InputSyntaxError, format_word, word_to_interval
 
 
 class ContractError(Exception):
@@ -137,7 +139,12 @@ def cmd_ergodic(args) -> int:
     pair = _load_pair(args.pair, args.seed, args.tol)
     g = parse_element(args.element)
     z = _get_vector(args, pair)
-    ns = [int(x) for x in args.n_list.split(",") if x.strip()]
+    try:
+        ns = [int(x) for x in args.n_list.split(",") if x.strip()]
+    except ValueError:
+        raise InputSyntaxError(
+            f"--n-list must be comma-separated integers, got {args.n_list!r}"
+        ) from None
     print("n defect gram")
     for n in ns:
         defect = ergodic_defect(g, z, n)
@@ -219,7 +226,7 @@ def main(argv=None) -> int:
             parser.error(f"{args.command} requires --{flag}")
     try:
         return args.fn(args)
-    except ElementSyntaxError as exc:
+    except InputSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
     except (ContractError, ValueError) as exc:

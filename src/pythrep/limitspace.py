@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forests import Forest, Tree, common_refinement
+from .forests import Forest, Tree, _collapse, common_refinement
 from .pythagorean import PythagoreanPair, phi, word_operator
-from .words import IntervalUnion, _merge_siblings, check_word, sibling
+from .words import InputSyntaxError, IntervalUnion, check_word
 
 __all__ = [
     "LimitVector",
@@ -33,7 +33,7 @@ __all__ = [
 
 
 class LimitVector:
-    """A decorated tree: ``values[i]`` is the vector at ``tree.leaves[i]``.
+    """A decorated tree: ``values[i]`` is the vector at the i-th leaf.
 
     Instances are immutable.  Arithmetic grows both operands to a common
     refinement; representatives are kept as produced, use :meth:`trim` to
@@ -72,7 +72,9 @@ class LimitVector:
         return LimitVector(self.pair, self.tree.composed(forest), rows)
 
     def refine_to(self, tree: Tree) -> "LimitVector":
-        forest = Forest(tree.subtree(a) for a in self.tree.leaves)
+        w, forest, _ = common_refinement(self.tree, tree)
+        if w != tree:
+            raise ValueError("tree does not refine the representative's tree")
         return self.grow(forest)
 
     def _aligned(self, other: "LimitVector") -> tuple[Tree, np.ndarray, np.ndarray]:
@@ -135,8 +137,8 @@ class LimitVector:
             residual += np.linalg.norm(eta1 - b @ xi) ** 2
             return xi if residual <= tol * tol else None
 
-        addrs, vals = _merge_siblings(self.tree.leaves, self.values, parent)
-        return LimitVector(self.pair, Tree(addrs), np.array(vals))
+        (depths,), vals = _collapse((self.tree.depths,), self.values, parent)
+        return LimitVector(self.pair, Tree._of(depths), np.array(vals))
 
     def __repr__(self) -> str:
         return (
@@ -154,15 +156,11 @@ def tau(v: str, z: LimitVector) -> LimitVector:
     When v sits below a leaf of the representative, the component is the
     single value obtained by pushing that leaf's vector down to v.
     """
-    check_word(v)
-    if z.tree.has_vertex(v):
-        idx = [i for i, w in enumerate(z.tree.leaves) if w.startswith(v)]
-        return LimitVector(z.pair, z.tree.subtree(v), z.values[idx])
-    for i, leaf in enumerate(z.tree.leaves):
-        if v.startswith(leaf):
-            op = word_operator(z.pair, v[len(leaf):])
-            return LimitVector.embed(z.pair, op @ z.values[i])
-    raise AssertionError("vertex neither above nor below the leaf set")
+    lo, hi, k = z.tree._locate(check_word(v))
+    if k == len(v):
+        return LimitVector(z.pair, z.tree.subtree(v), z.values[lo:hi])
+    op = word_operator(z.pair, v[k:])
+    return LimitVector.embed(z.pair, op @ z.values[lo])
 
 
 def tau_star(v: str, z: LimitVector) -> LimitVector:
@@ -170,12 +168,11 @@ def tau_star(v: str, z: LimitVector) -> LimitVector:
     check_word(v)
     if not v:
         return z
-    side = [sibling(v[: k + 1]) for k in range(len(v))]
-    leaves = sorted([v + w for w in z.tree.leaves] + side)
-    values = np.zeros((len(leaves), z.pair.dim), dtype=np.complex128)
-    rows = [i for i, w in enumerate(leaves) if w.startswith(v)]
-    values[rows] = z.values
-    return LimitVector(z.pair, Tree(leaves), values)
+    tree = Tree.spine(v).grafted({v: z.tree})
+    values = np.zeros((tree.n_leaves, z.pair.dim), dtype=np.complex128)
+    first = v.count("1")  # spine leaves left of v: one per right turn
+    values[first : first + z.tree.n_leaves] = z.values
+    return LimitVector(z.pair, tree, values)
 
 
 def rho(v: str, z: LimitVector) -> LimitVector:
@@ -193,24 +190,28 @@ def rho_union(intervals: IntervalUnion, z: LimitVector) -> LimitVector:
 
 def parse_limit_vector(pair: PythagoreanPair, text: str) -> LimitVector:
     """Parse ``tree : v1 ; v2 ; ...`` with one complex vector per leaf;
-    vector entries are comma-separated in ``re+imi`` form."""
+    vector entries are comma-separated in ``re+imi`` form.  Text that does
+    not parse, or has the wrong number of vectors or entries, raises
+    InputSyntaxError; a non-finite entry raises ValueError."""
     if ":" not in text:
-        raise ValueError("expected 'tree : values'")
+        raise InputSyntaxError("expected 'tree : values'")
     tree_part, _, value_part = text.partition(":")
     tree = Tree.from_text(tree_part.strip())
     groups = [g for g in value_part.split(";")]
     if len(groups) != tree.n_leaves:
-        raise ValueError(f"expected {tree.n_leaves} vectors, got {len(groups)}")
+        raise InputSyntaxError(f"expected {tree.n_leaves} vectors, got {len(groups)}")
     values = np.zeros((tree.n_leaves, pair.dim), dtype=np.complex128)
     for i, group in enumerate(groups):
         entries = [e.strip() for e in group.split(",")]
         if len(entries) != pair.dim:
-            raise ValueError(
+            raise InputSyntaxError(
                 f"leaf {i}: expected {pair.dim} entries, got {len(entries)}"
             )
         for j, entry in enumerate(entries):
             try:
                 values[i, j] = complex(entry.replace("i", "j").replace(" ", ""))
             except ValueError:
-                raise ValueError(f"bad complex entry {entry!r}") from None
+                raise InputSyntaxError(f"bad complex entry {entry!r}") from None
+    if not np.isfinite(values).all():
+        raise ValueError("vector entries must be finite")
     return LimitVector(pair, tree, values)

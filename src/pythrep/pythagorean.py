@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import matmul, mul
 
 import numpy as np
 
@@ -48,6 +49,8 @@ class PythagoreanPair:
         b = np.array(b, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
             raise ValueError(f"need two square matrices of equal size, got {a.shape} and {b.shape}")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("pair matrices must have finite entries")
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -110,33 +113,35 @@ def leaf_decorations(pair: PythagoreanPair, tree: Tree, xi) -> np.ndarray:
     """All leaf values of the tree grown from root value xi, leaf order.
 
     Walks the leaves left to right keeping the partial products along the
-    current root path, so the work is one matrix-vector product per edge.
+    current root path, so the work is one matrix-vector product per edge:
+    a leaf leaves the previous leaf's path at its branch depth (see
+    :mod:`pythrep.forests`) along one B edge, and descends the rest of
+    the way along A edges.
     """
     xi = np.asarray(xi, dtype=np.complex128).reshape(pair.dim)
-    scalar = pair.dim == 1  # plain complex products; 1x1 matmuls are ~10x slower
-    if scalar:
-        a, b = complex(pair.a[0, 0]), complex(pair.b[0, 0])
-        path: list = [complex(xi[0])]
+    if pair.dim == 1:  # plain complex products; 1x1 matmuls are ~10x slower
+        a, b, step, root = complex(pair.a[0, 0]), complex(pair.b[0, 0]), mul, complex(xi[0])
     else:
-        a, b = pair.a, pair.b
-        path = [xi]  # path[k] = value at the length-k prefix
-    prev = None
-    rows = np.empty((tree.n_leaves, pair.dim), dtype=np.complex128)
-    for i, leaf in enumerate(tree.leaves):
-        if prev is not None:
-            # consecutive leaves branch at the previous leaf's last 0
-            k = len(prev.rstrip("1")) - 1
-            del path[k + 1 :]
-        start = len(path) - 1
-        if scalar:
-            for bit in leaf[start:]:
-                path.append((a if bit == "0" else b) * path[-1])
-        else:
-            for bit in leaf[start:]:
-                path.append((a if bit == "0" else b) @ path[-1])
-        rows[i] = path[-1]
-        prev = leaf
-    return rows
+        a, b, step, root = pair.a, pair.b, matmul, xi
+    depths = tree.depths
+    path = [root] * (max(depths) + 1)  # path[k] = value at depth k on the current path
+    out = []
+    # the branch-depth walk of forests._branch_depths, inlined: this loop
+    # is the hot spot of every coefficient
+    waiting: list[int] = []
+    for d in depths:
+        br = 0
+        if waiting:
+            br = waiting[-1]
+            path[br] = step(b, path[br - 1])
+        for k in range(br + 1, d + 1):
+            path[k] = step(a, path[k - 1])
+        out.append(path[d])
+        while waiting and waiting[-1] == d:
+            waiting.pop()
+            d -= 1
+        waiting.append(d)
+    return np.array(out, dtype=np.complex128).reshape(len(out), pair.dim)
 
 
 def phi(pair: PythagoreanPair, forest: Forest, xs) -> np.ndarray:

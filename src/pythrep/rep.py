@@ -192,8 +192,7 @@ def koopman_coefficient(g: ThompsonElement, s: float = 0.0) -> complex:
     affine pieces, sum sqrt(l l') (l/l')^(is) with l the domain-leaf and
     l' the range-leaf length.  At s = 0 this is symmetric in l and l'."""
     total = 0.0 + 0.0j
-    for omega, nu in zip(g.domain_tree.leaves, g.range_tree.leaves):
-        dl, rl = len(omega), len(nu)
+    for dl, rl in zip(g.domain_tree.depths, g.range_tree.depths):
         total += 2.0 ** (-(dl + rl) / 2.0) * np.exp(1j * s * _LN2 * (rl - dl))
     return complex(total)
 

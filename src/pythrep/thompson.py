@@ -9,12 +9,22 @@ replaces the domain-leaf prefix by the range-leaf prefix.
 Products compose as functions: ``g * h`` applies ``h`` first.  The
 product of ``[t, s]`` and ``[t', s']`` refines ``s`` and ``t'`` to a
 common tree and reads off the outer pair.
+
+Products, powers, inverses, the reduction and the generators work on the
+trees' leaf-depth sequences (see :mod:`pythrep.forests`) and never build
+leaf addresses.  Addresses are built, and cached on the trees, only where
+words are the API: ``act_point``, ``image_of_word``, ``support``,
+``stabilizes`` and ``restrict``.  ``parse_element`` is the validating
+boundary; it caps generator indices and exponents before building
+anything.
 """
 
 from __future__ import annotations
 
-from .forests import Tree, _parse_tree, common_refinement, random_tree
-from .words import CantorPoint, IntervalUnion, _merge_siblings, check_word
+from operator import and_, eq
+
+from .forests import Tree, _collapse, _graft, _parse_tree, _refine, common_refinement, random_tree
+from .words import CantorPoint, InputSyntaxError, IntervalUnion, check_word
 
 __all__ = [
     "ThompsonElement",
@@ -24,13 +34,24 @@ __all__ = [
     "random_element",
     "parse_element",
     "ElementSyntaxError",
+    "MAX_GENERATOR_INDEX",
+    "MAX_EXPONENT",
 ]
 
+# Largest generator index and exponent magnitude that parse_element
+# accepts: x_n has n + 3 leaves and g^k up to |k| times as many as g.
+MAX_GENERATOR_INDEX = 100_000
+MAX_EXPONENT = 100_000
 
-def _domain_parent(d0: str, d1: str) -> str | None:
-    """The parent of two domain leaves when they are siblings, else None."""
-    p = d0[:-1]
-    return p if d0[-1:] == "0" and d1 == p + "1" else None
+
+def _reduce(r: tuple, d: tuple) -> tuple[tuple, tuple]:
+    """Cancel the carets at the same leaf positions of both depth sequences."""
+    # a common caret needs equal adjacent depths in both trees; most
+    # products (all powers of vines) have none, and skip the walk
+    if not any(map(and_, map(eq, r, r[1:]), map(eq, d, d[1:]))):
+        return r, d
+    (r, d), _ = _collapse((r, d), r, lambda x, y: x)  # every common caret cancels
+    return r, d
 
 
 class ThompsonElement:
@@ -47,10 +68,19 @@ class ThompsonElement:
             raise ValueError(
                 f"leaf counts differ: {range_tree.n_leaves} vs {domain_tree.n_leaves}"
             )
-        # a caret cancels when its leaves sit at the same positions of both trees
-        rl, dl = _merge_siblings(range_tree.leaves, domain_tree.leaves, _domain_parent)
-        object.__setattr__(self, "range_tree", Tree(rl))
-        object.__setattr__(self, "domain_tree", Tree(dl))
+        r, d = _reduce(range_tree.depths, domain_tree.depths)
+        if r is not range_tree.depths:
+            range_tree, domain_tree = Tree._of(r), Tree._of(d)
+        object.__setattr__(self, "range_tree", range_tree)
+        object.__setattr__(self, "domain_tree", domain_tree)
+
+    @classmethod
+    def _of(cls, range_tree: Tree, domain_tree: Tree) -> "ThompsonElement":
+        # internal: the pair must already be reduced
+        g = object.__new__(cls)
+        object.__setattr__(g, "range_tree", range_tree)
+        object.__setattr__(g, "domain_tree", domain_tree)
+        return g
 
     @classmethod
     def identity(cls) -> "ThompsonElement":
@@ -68,15 +98,14 @@ class ThompsonElement:
 
     def multiply(self, other: "ThompsonElement") -> "ThompsonElement":
         """Function composition; ``other`` acts first."""
-        _, f, h = common_refinement(self.domain_tree, other.range_tree)
-        return ThompsonElement(
-            self.range_tree.composed(f), other.domain_tree.composed(h)
-        )
+        _, f, h = _refine(self.domain_tree.depths, other.range_tree.depths)
+        r, d = _reduce(_graft(self.range_tree.depths, f), _graft(other.domain_tree.depths, h))
+        return ThompsonElement._of(Tree._of(r), Tree._of(d))
 
     __mul__ = multiply
 
     def inverse(self) -> "ThompsonElement":
-        return ThompsonElement(self.domain_tree, self.range_tree)
+        return ThompsonElement._of(self.domain_tree, self.range_tree)
 
     def __invert__(self) -> "ThompsonElement":
         return self.inverse()
@@ -146,7 +175,7 @@ class ThompsonElement:
     def slope_exponent_at_zero(self) -> int:
         """log2 of the inverse element's slope at 0: depth of the leftmost
         range leaf minus depth of the leftmost domain leaf."""
-        return len(self.range_tree.leaves[0]) - len(self.domain_tree.leaves[0])
+        return self.range_tree.depths[0] - self.domain_tree.depths[0]
 
     # -- text form ------------------------------------------------------
 
@@ -173,11 +202,11 @@ def generator(n: int) -> "ThompsonElement":
     """
     if n < 0:
         raise ValueError("generator index must be nonnegative")
-    t, s = Tree.vine_right(1), Tree.vine_left(1)
-    for _ in range(n):
-        t = Tree.node(Tree.leaf(), t)
-        s = Tree.node(Tree.leaf(), s)
-    return ThompsonElement(t, s)
+    # x_0 = [(**)*, *(**)] hung below n right edges, with one leaf off each
+    steps = tuple(range(1, n + 1))
+    return ThompsonElement._of(
+        Tree._of(steps + (n + 2, n + 2, n + 1)), Tree._of(steps + (n + 1, n + 2, n + 2))
+    )
 
 
 def vine_element(i: int) -> "ThompsonElement":
@@ -207,7 +236,7 @@ def random_element(rng, max_depth: int = 6) -> "ThompsonElement":
     )
 
 
-class ElementSyntaxError(ValueError):
+class ElementSyntaxError(InputSyntaxError):
     """Parse failure; ``offset`` is the byte position in the input."""
 
     def __init__(self, offset: int, message: str):
@@ -216,8 +245,11 @@ class ElementSyntaxError(ValueError):
 
 
 def parse_element(text: str) -> "ThompsonElement":
-    """Parse ``term+`` where ``term`` is ``x<INT>``, optionally ``^<INT>``,
-    or ``[tree,tree]``; juxtaposed terms multiply, left factor applied last.
+    """Parse ``term+`` where ``term`` is ``x<INT>`` or ``[tree,tree]``,
+    optionally followed by ``^<INT>``; juxtaposed terms multiply, left
+    factor applied last.  A generator index above MAX_GENERATOR_INDEX or an
+    exponent above MAX_EXPONENT in size is a syntax error, raised before
+    the term is built.
     """
     pos, n = 0, len(text)
     result: ThompsonElement | None = None
@@ -227,15 +259,18 @@ def parse_element(text: str) -> "ThompsonElement":
             p += 1
         return p
 
-    def parse_int(p: int, signed: bool) -> tuple[int, int]:
+    def parse_int(p: int, signed: bool, cap: int, what: str) -> tuple[int, int]:
         start = p
         if signed and p < n and text[p] in "+-":
             p += 1
-        while p < n and text[p].isdigit():
+        while p < n and text[p] in "0123456789":
             p += 1
         if p == start or text[start:p] in ("+", "-"):
             raise ElementSyntaxError(start, "expected an integer")
-        return int(text[start:p]), p
+        digits = text[start:p].lstrip("+-").lstrip("0") or "0"
+        if len(digits) > len(str(cap)) or int(digits) > cap:
+            raise ElementSyntaxError(start, f"{what} exceeds {cap} in size")
+        return (-1 if text[start] == "-" else 1) * int(digits), p
 
     def parse_tree_at(p: int) -> tuple[Tree, int]:
         try:
@@ -248,9 +283,9 @@ def parse_element(text: str) -> "ThompsonElement":
         if pos >= n:
             break
         c = text[pos]
+        term = None
         if c == "x":
-            idx, pos = parse_int(pos + 1, signed=False)
-            term = generator(idx)
+            idx, pos = parse_int(pos + 1, False, MAX_GENERATOR_INDEX, "generator index")
         elif c == "[":
             t, pos = parse_tree_at(skip_ws(pos + 1))
             pos = skip_ws(pos)
@@ -268,8 +303,12 @@ def parse_element(text: str) -> "ThompsonElement":
         else:
             raise ElementSyntaxError(pos, f"expected 'x' or '[', found {c!r}")
         pos = skip_ws(pos)
+        exp = 1
         if pos < n and text[pos] == "^":
-            exp, pos = parse_int(pos + 1, signed=True)
+            exp, pos = parse_int(pos + 1, True, MAX_EXPONENT, "exponent")
+        if term is None:
+            term = generator(idx)
+        if exp != 1:
             term = term**exp
         result = term if result is None else result * term
 

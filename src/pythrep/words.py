@@ -26,6 +26,7 @@ __all__ = [
     "is_sdp",
     "format_word",
     "parse_word",
+    "InputSyntaxError",
     "IntervalUnion",
     "CantorPoint",
 ]
@@ -70,45 +71,53 @@ def kraft_sum(words) -> Fraction:
 
 def is_sdp(words) -> bool:
     """Whether the words form a standard dyadic partition of the whole space."""
-    return _is_complete(sorted(check_word(w) for w in words))
+    ws = sorted(check_word(w) for w in words)
+    return _leaf_words([len(w) for w in ws]) == ws
 
 
-def _is_complete(ws) -> bool:
-    """Whether sorted binary words are the leaves of one full binary tree,
-    i.e. their sibling pairs collapse all the way to the root."""
-    return _merge_siblings(ws, ws, lambda a, b: a)[0] == [""]
+def _leaf_words(depths) -> list[str] | None:
+    """The leaf addresses, left to right, of the full binary tree with these
+    leaf depths, or None when no such tree exists.
+
+    Each leaf starts where the previous one ends: drop the previous
+    address's trailing 1s, turn its last 0 into a 1 and pad with 0s to the
+    new depth.  The depths are a tree's exactly when every step fits and
+    the last address is all 1s.
+    """
+    out: list[str] = []
+    for d in depths:
+        if out:
+            head = out[-1].rstrip("1")
+            if not head or len(head) > d:
+                return None
+            out.append(head[:-1] + "1" + "0" * (d - len(head)))
+        else:
+            out.append("0" * d)
+    return out if out and not out[-1].strip("1") else None
 
 
-def _merge_siblings(words, values, merge) -> tuple[list[str], list]:
-    """Collapse sibling pairs bottom-up, carrying one value per word.
+def _merge_siblings(words) -> list[str]:
+    """Replace sibling pairs ``w0, w1`` by their parent ``w``, bottom-up.
 
-    Walks the sorted ``words`` left to right with a stack.  When the next
-    word ``w1`` is the sibling of the word ``w0`` on top, both are replaced
-    by their parent ``w`` with value ``merge(x0, x1)``, unless that is
-    None; a new parent is tested against the new top in turn.  Returns the
-    surviving words and their values.
+    Walks the sorted, prefix-free ``words`` left to right with a stack;
+    a new parent is tested against the new top in turn.
     """
     ws: list[str] = []
-    xs: list = []
-    for w, x in zip(words, values):
+    for w in words:
         # the last character rejects half the words before any slicing
-        while ws and w[-1:] == "1":
-            parent = w[:-1]
-            if ws[-1] != parent + "0":
-                break
-            m = merge(xs[-1], x)
-            if m is None:
-                break
+        while ws and w[-1:] == "1" and ws[-1] == w[:-1] + "0":
             ws.pop()
-            xs.pop()
-            w, x = parent, m
+            w = w[:-1]
         ws.append(w)
-        xs.append(x)
-    return ws, xs
+    return ws
 
 
 def format_word(w: str) -> str:
     return w if w else "^"
+
+
+class InputSyntaxError(ValueError):
+    """Input text that does not parse: a point, tree, element or vector."""
 
 
 def parse_word(text: str) -> str:
@@ -136,8 +145,7 @@ class IntervalUnion:
             if kept and w.startswith(kept[-1]):
                 continue
             kept.append(w)
-        merged, _ = _merge_siblings(kept, kept, lambda a, b: a)
-        object.__setattr__(self, "words", tuple(merged))
+        object.__setattr__(self, "words", tuple(_merge_siblings(kept)))
 
     @classmethod
     def of(cls, *words) -> "IntervalUnion":
@@ -268,9 +276,12 @@ class CantorPoint:
     def parse(cls, text: str) -> "CantorPoint":
         text = text.strip()
         if not text.endswith(")") or "(" not in text:
-            raise ValueError(f"expected pre(period), got {text!r}")
+            raise InputSyntaxError(f"expected pre(period), got {text!r}")
         pre, per = text[:-1].split("(", 1)
-        return cls(pre, per)
+        try:
+            return cls(pre, per)
+        except ValueError as exc:
+            raise InputSyntaxError(str(exc)) from None
 
     def __str__(self) -> str:
         return f"{self.preperiod}({self.period})"

@@ -57,6 +57,21 @@ def test_nan_pair_is_exit_1(capsys, pair_file):
     assert out == "" and err.startswith("error:")
 
 
+def test_nan_matrix_pair_is_exit_1(capsys, pair_file):
+    nan_pair = {"dim": 1, "A": [[[float("nan"), 0.0]]], "B": [[[0.5, 0.0]]]}
+    rc, out, err = run(capsys, "coeff", "--pair", pair_file(nan_pair), "--element", "x0")
+    assert rc == 1
+    assert out == "" and "finite" in err
+
+
+def test_nan_vector_is_exit_1(capsys):
+    rc, out, err = run(
+        capsys, "coeff", "--pair", "random:2", "--element", "x0", "--vector", "*:nan,0"
+    )
+    assert rc == 1
+    assert out == "" and "finite" in err
+
+
 def test_missing_pair_file_is_exit_1(capsys, tmp_path):
     rc, _, err = run(capsys, "diffuse", "--pair", str(tmp_path / "nope.json"))
     assert rc == 1
@@ -67,6 +82,28 @@ def test_bad_element_syntax_is_exit_2(capsys, pair_file):
     rc, _, err = run(capsys, "element", "--element", "x0^")
     assert rc == 2
     assert err.startswith("syntax error:")
+
+
+def test_bad_point_syntax_is_exit_2(capsys):
+    rc, out, err = run(capsys, "act", "--element", "x0", "--point", "12(0)")
+    assert rc == 2
+    assert out == "" and err.startswith("syntax error:")
+
+
+def test_bad_n_list_syntax_is_exit_2(capsys, pair_file):
+    rc, out, err = run(
+        capsys, "ergodic", "--pair", pair_file(BALANCED), "--element", "x0", "--n-list", "1,a"
+    )
+    assert rc == 2
+    assert out == "" and err.startswith("syntax error:")
+
+
+def test_bad_vector_syntax_is_exit_2(capsys, pair_file):
+    rc, out, err = run(
+        capsys, "coeff", "--pair", pair_file(BALANCED), "--element", "x0", "--vector", "(** : 1"
+    )
+    assert rc == 2
+    assert out == "" and err.startswith("syntax error:")
 
 
 def test_missing_required_flag_is_usage_error(capsys):

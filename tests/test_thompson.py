@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from pythrep import thompson
 from pythrep.forests import Forest, Tree, random_tree
 from pythrep.thompson import (
+    MAX_EXPONENT,
+    MAX_GENERATOR_INDEX,
     ElementSyntaxError,
     ThompsonElement,
     generator,
@@ -231,6 +234,24 @@ def test_parse_errors_carry_offsets():
         parse_element("[(**),(*(**))]")  # leaf counts differ
     with pytest.raises(ElementSyntaxError):
         parse_element("")
+
+
+def test_parse_caps_reject_before_building(monkeypatch):
+    def built(*args):
+        raise AssertionError("a term was built")
+
+    monkeypatch.setattr(thompson, "generator", built)
+    monkeypatch.setattr(ThompsonElement, "__pow__", built)
+    for text, offset in (("x0^1000000000", 3), ("x100000000", 1), ("x0^-100001", 3)):
+        with pytest.raises(ElementSyntaxError) as err:
+            parse_element(text)
+        assert err.value.offset == offset
+
+
+def test_parse_caps_admit_their_bounds():
+    assert parse_element(f"x{MAX_GENERATOR_INDEX}").n_leaves == MAX_GENERATOR_INDEX + 3
+    assert parse_element(f"[*,*]^-{MAX_EXPONENT}") == E
+    assert parse_element("x0^000384") == X0 ** 384
 
 
 def test_text_roundtrip():
